@@ -5,7 +5,7 @@ hidden state, so a (job spec, package version) pair fully determines the
 result.  The cache exploits that — each record lives at
 ``<root>/<digest[:2]>/<digest>.json`` where the digest is the stable hash of
 the canonical job dict salted with ``repro.__version__`` (see
-:meth:`~repro.campaign.spec.JobSpec.digest`).  Re-running an identical
+:meth:`~repro.api.spec.ProfileSpec.digest`).  Re-running an identical
 campaign therefore simulates nothing; bumping the package version invalidates
 everything automatically.
 
@@ -75,6 +75,10 @@ class CacheBackend(Protocol):
     ``None`` miss; ``get`` of a corrupt entry is *also* a ``None`` miss and
     quarantines the entry so the slot becomes refillable; ``put`` then
     ``get`` round-trips the record exactly (JSON-native data only).
+
+    Record shape: an entry is the runner's record only (what
+    :func:`~repro.api.runner.execute_payload` or ``replay_payload`` returned),
+    never scheduler bookkeeping such as ``attempts``, ``digest`` or ``version``.
     """
 
     stats: CacheStats

@@ -10,7 +10,9 @@ through the unified runner (:mod:`repro.api.runner`) — the same path a live
 ``pasta profile`` run takes.  Jobs are isolated: one job crashing (or timing
 out) is recorded as a failed outcome and never takes down the campaign.
 Fresh results are written to the cache and appended to the
-:class:`~repro.campaign.store.ResultStore` as they complete.
+:class:`~repro.campaign.store.ResultStore` as they complete.  A cache entry
+is exactly the runner's record; outcome records (and the store) add
+``digest``, ``version`` and ``attempts``, none of which is ever cached.
 
 Execution modes
 ---------------
@@ -49,7 +51,8 @@ Failure policy (``on_failure``): ``"isolate"`` (default) records the failure
 and moves on; ``"fail_fast"`` aborts the campaign, marking unstarted jobs
 ``"skipped"``; ``"degrade"`` re-runs a failed job stripped to its bare
 workload (no tools, no knobs) and records the partial result as
-``"degraded"``.  Retries sleep between attempts with exponential backoff and
+``"degraded"``; :meth:`CampaignScheduler.cancel` aborts like ``fail_fast``.
+Retries sleep between attempts with exponential backoff and
 decorrelated jitter (``backoff_s`` / ``backoff_cap_s``), surfaced per
 attempt in :class:`JobOutcome` and on the progress stream.
 """
@@ -115,8 +118,21 @@ FAILURE_POLICIES = ("isolate", "fail_fast", "degrade")
 #: Patchable sleep used by retry backoff and lease polling (tests stub it).
 _sleep = time.sleep
 
-#: Store keys added on append that a resumed/cached record must not carry.
-_STORE_ONLY_KEYS = ("campaign", "cache_hit")
+#: Keys the scheduler adds around a runner's record (outcome and store only).
+_BOOKKEEPING_KEYS = ("attempts", "attempt_errors", "digest", "version", "campaign", "cache_hit")
+
+
+def _cache_entry(record: dict[str, object]) -> dict[str, object]:
+    """The runner's record, which is all a cache entry holds.
+
+    The echoed job also loses ``record_to``: the digest ignores it, so the
+    entry may later answer a non-recording twin.
+    """
+    entry = {k: v for k, v in record.items() if k not in _BOOKKEEPING_KEYS}
+    job_payload = entry.get("job")
+    if isinstance(job_payload, dict) and job_payload.get("record_to") is not None:
+        entry["job"] = {k: v for k, v in job_payload.items() if k != "record_to"}
+    return entry
 
 
 class JobAttemptsError(ReproError):
@@ -183,8 +199,8 @@ def _run_with_retries(
     Failed attempts sleep before the next try: exponential backoff with
     *decorrelated jitter* (each delay drawn uniformly from ``[base, 3 *
     previous]``, capped), so a fleet of retrying workers spreads out instead
-    of hammering in lockstep.  The chosen delay is recorded on the attempt's
-    error entry as ``backoff_s``.
+    of hammering in lockstep.  The chosen delay, rounded to the microsecond
+    before it is slept, is recorded on the attempt's error entry as ``backoff_s``.
 
     Returns the record augmented with the attempt count (plus
     ``attempt_errors`` when earlier attempts failed); raises
@@ -213,12 +229,12 @@ def _run_with_retries(
                 attempt_errors.append(entry)
                 raise JobAttemptsError(attempt_errors) from error
             if backoff_s > 0.0:
-                delay = min(
+                delay = round(min(
                     max(backoff_cap_s, 0.0),
                     rng.uniform(backoff_s, max(backoff_s, previous_delay * 3.0)),
-                )
+                ), 6)
                 previous_delay = delay
-                entry["backoff_s"] = round(delay, 6)
+                entry["backoff_s"] = delay
                 _sleep(delay)
             attempt_errors.append(entry)
         else:
@@ -490,7 +506,8 @@ class CampaignScheduler:
         # active at that moment (the CLI's --status flag installs one).
         self.progress = progress
         self._progress: Union[ProgressWriter, NullProgress] = NULL_PROGRESS
-        #: Set to the abort reason once a fail_fast failure fires.
+        #: Set to the abort reason once a fail_fast failure fires or
+        #: :meth:`cancel` is called; cleared when a run ends.
         self._abort: Optional[str] = None
 
     # ------------------------------------------------------------------ #
@@ -517,7 +534,6 @@ class CampaignScheduler:
         job_list = expand_jobs(spec)
         telemetry = _active_telemetry()
         telemetry.annotate(campaign=campaign_name, execution=execution)
-        self._abort = None
         self._progress = (
             self.progress if self.progress is not None else active_progress()
         )
@@ -562,9 +578,8 @@ class CampaignScheduler:
                     if use_cache:
                         self.cache.put(digest, cached_record)
                 if cached_record is not None:
-                    self._record_outcome(outcomes, index, JobOutcome(
-                        job=job, digest=digest, status="cached", record=cached_record
-                    ), campaign_name)
+                    outcome = self._ok_outcome(job, digest, cached_record, 0.0, "cached")
+                    self._record_outcome(outcomes, index, outcome, campaign_name)
                 else:
                     if use_cache:
                         telemetry.counter("campaign.cache_misses").inc()
@@ -583,6 +598,7 @@ class CampaignScheduler:
                     f"jobs_{status}",
                     sum(1 for o in outcomes.values() if o.status == status),
                 )
+        self._abort = None
         result = CampaignRunResult(
             name=campaign_name,
             outcomes=[outcomes[i] for i in range(len(job_list))],
@@ -599,24 +615,28 @@ class CampaignScheduler:
         )
         return result
 
+    def cancel(self, reason: str) -> None:
+        """Stop the current (or next) :meth:`run` at the next job boundary.
+
+        The ``fail_fast`` abort: running jobs finish, unstarted ones come back
+        ``"skipped"``, and :meth:`run` still returns its result.  Thread-safe.
+        """
+        if self._abort is None:
+            self._abort = reason
+
     def _resume_map(self) -> dict[str, dict[str, object]]:
-        """Completed cells recoverable from the store: digest -> record.
+        """Completed cells recoverable from the store: digest -> cache entry.
 
         Only version-matched ``"ok"`` records count — failed, degraded and
-        stale-version records must re-simulate.  Store-only bookkeeping keys
-        are stripped so a resumed record is byte-identical to a cache hit.
+        stale-version records must re-simulate.  Each is reduced to its cache
+        entry, so a resumed cell is byte-identical to a cache hit.
         """
         assert self.store is not None
-        out: dict[str, dict[str, object]] = {}
-        for digest, record in self.store.latest_by_digest().items():
-            if record.get("status") != "ok":
-                continue
-            if record.get("version") != self.version:
-                continue
-            out[digest] = {
-                k: v for k, v in record.items() if k not in _STORE_ONLY_KEYS
-            }
-        return out
+        return {
+            digest: _cache_entry(record)
+            for digest, record in self.store.latest_by_digest().items()
+            if record.get("status") == "ok" and record.get("version") == self.version
+        }
 
     def _run_pending(
         self,
@@ -762,12 +782,11 @@ class CampaignScheduler:
             progressed = False
             unresolved: list[tuple[int, ProfileSpec, str]] = []
             for index, job, digest in remaining:
-                record = self._completed_elsewhere(job, digest)
-                if record is not None:
+                entry = self._completed_elsewhere(job, digest)
+                if entry is not None:
                     telemetry.counter("campaign.cache_hits").inc()
-                    self._record_outcome(outcomes, index, JobOutcome(
-                        job=job, digest=digest, status="cached", record=record,
-                    ), campaign_name)
+                    outcome = self._ok_outcome(job, digest, entry, 0.0, "cached")
+                    self._record_outcome(outcomes, index, outcome, campaign_name)
                     progressed = True
                     continue
                 takeovers_before = self.leases.takeovers
@@ -804,20 +823,13 @@ class CampaignScheduler:
     def _completed_elsewhere(
         self, job: ProfileSpec, digest: str
     ) -> Optional[dict[str, object]]:
-        """Another worker's finished record for ``digest``, if any."""
-        if self.cache is not None and job.record_to is None:
-            record = self.cache.get(digest)
-            if record is not None:
-                return record
-        if self.store is not None and job.record_to is None:
-            record = self.store.latest_by_digest().get(digest)
-            if (
-                record is not None
-                and record.get("status") == "ok"
-                and record.get("version") == self.version
-            ):
-                return {k: v for k, v in record.items() if k not in _STORE_ONLY_KEYS}
-        return None
+        """Another worker's finished cache entry for ``digest``, if any."""
+        if job.record_to is not None:
+            return None
+        entry = self.cache.get(digest) if self.cache is not None else None
+        if entry is None and self.store is not None:
+            entry = self._resume_map().get(digest)
+        return entry
 
     def _skip_remaining(
         self,
@@ -1130,16 +1142,17 @@ class CampaignScheduler:
         )
 
     def _ok_outcome(
-        self, job: ProfileSpec, digest: str, record: dict[str, object], duration_s: float
+        self, job: ProfileSpec, digest: str, record: dict[str, object],
+        duration_s: float, status: str = "ok",
     ) -> JobOutcome:
+        """An ``"ok"`` (or ``"cached"``) outcome whose record is the runner's
+        record stamped with ``digest``, ``version`` and ``attempts``."""
         attempts = int(record.get("attempts", 1))  # type: ignore[arg-type]
-        record = dict(record)
-        record["digest"] = digest
-        record["version"] = self.version
+        record = {**record, "digest": digest, "version": self.version, "attempts": attempts}
         attempt_errors = record.get("attempt_errors")
         errors = list(attempt_errors) if isinstance(attempt_errors, list) else []
         return JobOutcome(
-            job=job, digest=digest, status="ok", record=record,
+            job=job, digest=digest, status=status, record=record,
             attempts=attempts, duration_s=duration_s,
             errors=errors, backoff_s=_backoff_total(errors),
         )
@@ -1207,16 +1220,8 @@ class CampaignScheduler:
                     outcome.duration_s
                 )
         if outcome.status == "ok" and outcome.record is not None and self.cache is not None:
-            cached = outcome.record
-            job_payload = cached.get("job")
-            # The digest ignores record_to, so this entry may later answer a
-            # non-recording twin: cache the canonical payload, not the trace
-            # destination (the result store keeps the true payload).
-            if isinstance(job_payload, dict) and job_payload.get("record_to") is not None:
-                cached = dict(cached)
-                cached["job"] = {k: v for k, v in job_payload.items() if k != "record_to"}
             try:
-                self.cache.put(outcome.digest, cached)
+                self.cache.put(outcome.digest, _cache_entry(outcome.record))
             except Exception as error:
                 # A failing cache (disk full, injected corruption) degrades
                 # throughput, never the campaign.

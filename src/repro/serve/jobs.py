@@ -2,10 +2,12 @@
 
 A :class:`JobManager` owns everything stateful behind the HTTP surface:
 
-* a **worker pool** of plain threads executing submissions through the
-  unified runner (:func:`repro.api.runner.execute_payload`) — the same code
-  path a local ``pasta profile`` run takes, which is what makes remote
-  results byte-identical to local ones;
+* a **worker pool** of plain threads.  Profile jobs run through the unified
+  runner (:func:`repro.api.runner.execute_payload`) — the same code path a
+  local ``pasta profile`` run takes, which is what makes remote results
+  byte-identical to local ones.  Campaign jobs run through
+  :class:`~repro.campaign.scheduler.CampaignScheduler`, like ``pasta
+  campaign run``, so they honour the spec's ``execution`` mode;
 * the **content-addressed cache** (:class:`~repro.campaign.cache.ResultCache`)
   under ``<data_dir>/cache``: a submission whose spec digest is already
   cached completes without simulating anything, and the same directory is
@@ -40,6 +42,8 @@ from typing import Iterator, Mapping, Optional, Union
 
 import repro
 from repro.campaign.cache import ResultCache
+from repro.campaign.progress import NullProgress
+from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.core.serialization import content_digest, json_sanitize
@@ -117,6 +121,32 @@ class Job:
         )
 
 
+def _cell(label, digest, status, cache_hit, error) -> dict[str, object]:
+    """One campaign cell, as its ``progress`` record and the job result show it."""
+    cell = {"label": label, "digest": digest, "cache_hit": bool(cache_hit),
+            "status": "failed" if status in ("failed", "timeout") else "ok"}
+    return cell if error is None else {**cell, "error": error}
+
+
+class _CellProgress(NullProgress):
+    """Scheduler progress bus: each finished, non-skipped cell becomes a
+    ``progress`` record of the campaign job (with the cell's full digest)."""
+
+    def __init__(self, manager: "JobManager", job: Job, digests: list[str]) -> None:
+        self.manager, self.job, self.digests = manager, job, digests
+
+    def emit(self, kind: str, **fields: object) -> None:
+        if kind != "job" or fields["event"] != "finished" or fields["status"] == "skipped":
+            return
+        index = int(fields["index"])
+        cell = _cell(fields["job"], self.digests[index], fields["status"],
+                     fields["cache_hit"], fields["error"])
+        with self.manager._cond:
+            self.manager._emit_locked(self.job, record(
+                "progress", job_id=self.job.id, index=index, total=len(self.digests), **cell
+            ))
+
+
 def classify_submission(body: Mapping[str, object]) -> tuple[str, dict[str, object]]:
     """Split a submission body into ``(kind, spec_dict)``.
 
@@ -177,7 +207,9 @@ class JobManager:
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._seq = itertools.count(1)
         self._closed = False
-        #: Simulations actually run (profile jobs + campaign cells).
+        #: Schedulers of the campaign jobs running now, by job id.
+        self._schedulers: dict[str, CampaignScheduler] = {}
+        #: Simulations actually run (profile jobs + campaign workloads).
         self.executed = 0
         #: Submissions (or cells) answered from the cache.
         self.cache_hits = 0
@@ -422,6 +454,8 @@ class JobManager:
             elif job.state == "running":
                 job.state = "cancelling"
                 self._emit_locked(job, self._job_event(job, "cancelling"))
+                if job.id in self._schedulers:
+                    self._schedulers[job.id].cancel("job cancelled")
         _active_telemetry().counter("serve.jobs_cancelled").inc()
         return job
 
@@ -472,104 +506,61 @@ class JobManager:
     def _run_profile(self, job: Job) -> None:
         from repro.api.runner import execute_payload
 
-        telemetry = _active_telemetry()
         result = self.cache.get(job.digest)
         cache_hit = result is not None
         if result is None:
             result = execute_payload(job.payload)
             self.cache.put(job.digest, result)
-            with self._cond:
-                self.executed += 1
-            telemetry.counter("serve.simulations").inc()
-        else:
-            with self._cond:
-                self.cache_hits += 1
-            telemetry.counter("serve.cache_hits").inc()
+        self._complete(job, result, cache_hit, executed=int(not cache_hit),
+                       cached=int(cache_hit))
+
+    def _run_campaign(self, job: Job) -> None:
+        campaign = CampaignSpec.from_dict(job.payload)
+        digests = [cell.digest(self.version) for cell in campaign.expand()]
+        scheduler = CampaignScheduler(
+            executor="serial", cache=self.cache, version=self.version,
+            progress=_CellProgress(self, job, digests),
+        )
         with self._cond:
+            self._schedulers[job.id] = scheduler
             if job.cancel_requested:
-                # The simulation (if any) still happened and its record is
-                # cached for the next asker; the *job* honours the cancel.
+                scheduler.cancel("job cancelled")
+        try:
+            run = scheduler.run(campaign)
+        finally:
+            with self._cond:
+                del self._schedulers[job.id]
+        # Per-cell reports stay content-addressed in the cache — the result
+        # lists their digests so a client fetches exactly what it wants via
+        # GET /v1/cache/<digest> instead of one giant payload.
+        result = {
+            "campaign": run.name, "total": run.total, "executed": run.executed,
+            "cached": run.cached, "failed": run.failed,
+            "cells": [_cell(o.job.label(), o.digest, o.status, o.cached, o.error)
+                      for o in run.outcomes],
+        }
+        self._complete(job, result, run.total > 0 and run.cached == run.total,
+                       executed=run.workloads_recorded, cached=run.cached)
+
+    def _complete(self, job: Job, result: dict[str, object], cache_hit: bool, *,
+                  executed: int, cached: int) -> None:
+        """Count the job's simulations and cache hits, then finish it.  A job
+        cancelled while it ran keeps its cached records but ends cancelled."""
+        telemetry = _active_telemetry()
+        if executed:
+            telemetry.counter("serve.simulations").inc(executed)
+        if cached:
+            telemetry.counter("serve.cache_hits").inc(cached)
+        with self._cond:
+            self.executed += executed
+            self.cache_hits += cached
+            if job.cancel_requested:
                 self._finish_locked(job, "cancelled")
                 return
             job.cache_hit = cache_hit
             job.result = result
             self._emit_locked(job, record("result", job_id=job.id, record=result))
-            self._finish_locked(job, "done", result=None if not cache_hit else None)
-
-    def _run_campaign(self, job: Job) -> None:
-        from repro.api.runner import execute_payload
-
-        telemetry = _active_telemetry()
-        campaign = CampaignSpec.from_dict(job.payload)
-        cells = campaign.expand()
-        total = len(cells)
-        outcomes: list[dict[str, object]] = []
-        executed = cached = failed = 0
-        for index, cell in enumerate(cells):
-            with self._cond:
-                if job.cancel_requested:
-                    self._finish_locked(job, "cancelled")
-                    return
-            digest = cell.digest(self.version)
-            cell_record = self.cache.get(digest)
-            cache_hit = cell_record is not None
-            status = "ok"
-            error: Optional[str] = None
-            if cell_record is None:
-                try:
-                    cell_record = execute_payload(cell.to_dict())
-                    self.cache.put(digest, cell_record)
-                    executed += 1
-                    with self._cond:
-                        self.executed += 1
-                    telemetry.counter("serve.simulations").inc()
-                except Exception as cell_error:
-                    # Cell isolation, campaign-scheduler style: one bad cell
-                    # is recorded and the grid keeps going.
-                    status = "failed"
-                    error = f"{type(cell_error).__name__}: {cell_error}"
-                    failed += 1
-            else:
-                cached += 1
-                with self._cond:
-                    self.cache_hits += 1
-                telemetry.counter("serve.cache_hits").inc()
-            outcome: dict[str, object] = {
-                "label": cell.label(),
-                "digest": digest,
-                "status": status,
-                "cache_hit": cache_hit,
-            }
-            if error is not None:
-                outcome["error"] = error
-            outcomes.append(outcome)
-            with self._cond:
-                self._emit_locked(job, record(
-                    "progress",
-                    job_id=job.id,
-                    index=index,
-                    total=total,
-                    **outcome,
-                ))
-        # Per-cell reports stay content-addressed in the cache — the result
-        # lists their digests so a client fetches exactly what it wants via
-        # GET /v1/cache/<digest> instead of one giant payload.
-        result = {
-            "campaign": campaign.name,
-            "total": total,
-            "executed": executed,
-            "cached": cached,
-            "failed": failed,
-            "cells": outcomes,
-        }
-        with self._cond:
-            if job.cancel_requested:
-                self._finish_locked(job, "cancelled")
-                return
-            job.cache_hit = total > 0 and cached == total
-            job.result = result
-            self._emit_locked(job, record("result", job_id=job.id, record=result))
-            self._finish_locked(job, "done", result=result)
+            self._finish_locked(job, "done")
 
     def _fail(self, job: Job, error: str) -> None:
         with self._cond:
@@ -601,9 +592,7 @@ class JobManager:
         job.events.append(rec)
         self._cond.notify_all()
 
-    def _finish_locked(
-        self, job: Job, state: str, result: Optional[dict[str, object]] = None
-    ) -> None:
+    def _finish_locked(self, job: Job, state: str) -> None:
         job.state = state
         job.finished_unix = round(time.time(), 6)
         terminal_record: dict[str, object] = {
@@ -617,8 +606,8 @@ class JobManager:
         # Campaign results are small (summary + cell digests) and are not
         # individually cached, so they persist in the journal; profile
         # results are recovered from the content-addressed cache instead.
-        if result is not None and job.kind == "campaign":
-            terminal_record["result"] = result
+        if job.result is not None and job.kind == "campaign":
+            terminal_record["result"] = job.result
         try:
             self.journal.append(terminal_record)
         except Exception:

@@ -15,9 +15,10 @@ Record types
     ``kind``, ``digest``) and — on terminal records — ``status``,
     ``cache_hit`` and ``error``.
 ``progress``
-    Per-cell progress of a running campaign job (``index`` / ``total`` /
-    ``status`` / ``cache_hit`` / ``digest``), emitted as each grid cell
-    finishes.
+    Per-cell progress of a campaign job (``index`` / ``total`` / ``label`` /
+    ``status`` / ``cache_hit`` / full ``digest``), emitted as each grid cell
+    finishes.  Campaign jobs run through the campaign scheduler, so a spec
+    with ``"execution": "replay"`` simulates each distinct workload once.
 ``result``
     The job's result payload.  For profile jobs, ``record`` is exactly what
     :func:`repro.api.runner.execute_payload` returns — which is why a remote
