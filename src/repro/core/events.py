@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
 
-from repro.gpusim.instruction import InstructionKind
+from repro.gpusim.instruction import InstructionKind, plain_values
 
 _event_ids = itertools.count(1)
 
@@ -305,6 +305,13 @@ class MemoryAccessBatch(PastaEvent):
     array describes one access, and the array order matches the order the
     per-record pipeline would have delivered the same accesses in, so
     unrolling a batch reproduces the unbatched stream exactly.
+
+    Live runs carry read-only numpy arrays straight from the simulator;
+    replayed traces and third-party producers may carry tuples, so batch
+    hooks must accept both (``len()``, numpy functions and iteration work on
+    either).  :meth:`unroll` yields plain ``int``/``bool`` fields.  The
+    annotations stay ``tuple[...]``: they define the trace schema, whose
+    encoding is the same for both containers.
     """
 
     kernel_launch_id: int = 0
@@ -323,8 +330,9 @@ class MemoryAccessBatch(PastaEvent):
     def unroll(self) -> Iterator[MemoryAccessEvent]:
         """Per-record view: yields the equivalent :class:`MemoryAccessEvent`\\ s."""
         for address, size, is_write, thread, block in zip(
-            self.addresses, self.sizes, self.write_flags,
-            self.thread_indices, self.block_indices,
+            plain_values(self.addresses), plain_values(self.sizes),
+            plain_values(self.write_flags), plain_values(self.thread_indices),
+            plain_values(self.block_indices),
         ):
             yield MemoryAccessEvent(
                 address=address,
@@ -345,7 +353,9 @@ class InstructionBatch(PastaEvent):
 
     The columnar twin of :class:`InstructionEvent` (barriers, block markers,
     device calls, ...), with the same ordering guarantee as
-    :class:`MemoryAccessBatch`.
+    :class:`MemoryAccessBatch`.  ``kinds`` is a tuple of
+    :class:`InstructionKind`; the index columns may be numpy arrays or
+    tuples, as in :class:`MemoryAccessBatch`.
     """
 
     kernel_launch_id: int = 0
@@ -361,7 +371,9 @@ class InstructionBatch(PastaEvent):
 
     def unroll(self) -> Iterator[InstructionEvent]:
         """Per-record view: yields the equivalent :class:`InstructionEvent`\\ s."""
-        for kind, thread, block in zip(self.kinds, self.thread_indices, self.block_indices):
+        for kind, thread, block in zip(
+            self.kinds, plain_values(self.thread_indices), plain_values(self.block_indices)
+        ):
             yield InstructionEvent(
                 kind=kind,
                 kernel_launch_id=self.kernel_launch_id,

@@ -16,7 +16,10 @@ processor and tools are untouched (the modularity claim of Section III-A).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
+
+import numpy as np
 
 from repro.errors import HandlerError
 from repro.core.events import (
@@ -59,7 +62,11 @@ class PastaEventHandler:
     def __init__(self, sink: Optional[EventSink] = None) -> None:
         self._sink: Optional[EventSink] = sink
         self._backends: list[ProfilingBackend] = []
-        self._framework_registries: list[FrameworkCallbackRegistry] = []
+        #: Registry -> the (operator, memory) callbacks registered with it, kept
+        #: so :meth:`detach_framework` can remove exactly those two.
+        self._framework_registries: dict[
+            FrameworkCallbackRegistry, tuple[Callable[..., None], Callable[..., None]]
+        ] = {}
         #: Per-device running kernel-launch index (the "grid id" of the paper's
         #: START_GRID_ID/END_GRID_ID range filter).
         self._grid_index: dict[int, int] = {}
@@ -122,9 +129,18 @@ class PastaEventHandler:
         """Register with a DL framework's callback registry (high-level events)."""
         if registry in self._framework_registries:
             return
-        registry.add_operator_callback(lambda event: self._on_operator_event(event))
-        registry.add_memory_callback(lambda record: self._on_memory_usage(record, device_index))
-        self._framework_registries.append(registry)
+        on_operator = self._on_operator_event
+        on_memory = partial(self._on_memory_usage, device_index=device_index)
+        registry.add_operator_callback(on_operator)
+        registry.add_memory_callback(on_memory)
+        self._framework_registries[registry] = (on_operator, on_memory)
+
+    def detach_framework(self, registry: FrameworkCallbackRegistry) -> None:
+        """Stop receiving callbacks from a DL framework's callback registry."""
+        callbacks = self._framework_registries.pop(registry, None)
+        if callbacks is not None:
+            registry.remove_operator_callback(callbacks[0])
+            registry.remove_memory_callback(callbacks[1])
 
     @property
     def attached_backends(self) -> list[ProfilingBackend]:
@@ -252,12 +268,13 @@ class PastaEventHandler:
                 device_index=device,
                 source=source,
             ))
-        if batch.addresses:
+        if len(batch.addresses):
             sizes = batch.sizes
             if 0 in sizes:
                 # Same normalisation the per-record path applies
                 # (``record.size or 4``), so both delivery modes agree.
-                sizes = tuple(size or 4 for size in sizes)
+                sizes = np.where(np.asarray(sizes) == 0, 4, sizes)
+                sizes.flags.writeable = False
             self.emit(MemoryAccessBatch(
                 kernel_launch_id=batch.kernel_launch_id,
                 addresses=batch.addresses,

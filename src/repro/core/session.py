@@ -25,9 +25,10 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from repro.errors import PastaError
 from repro.core.annotations import RangeFilter, _set_active_session
-from repro.core.handler import PastaEventHandler
+from repro.core.events import PastaEvent
+from repro.core.handler import EventSink, PastaEventHandler
 from repro.core.overhead import OverheadAccountant
-from repro.core.processor import PastaEventProcessor
+from repro.core.processor import AddressResolver, PastaEventProcessor
 from repro.core.tool import PastaTool
 from repro.dlframework.context import FrameworkContext
 from repro.gpusim.costmodel import CostModelConfig
@@ -116,6 +117,34 @@ def _make_backend(spec: Union[str, ProfilingBackend, None], runtime: Accelerator
     return REGISTRY.create("vendors", spec)  # type: ignore[return-value]
 
 
+def _address_resolver(runtime: AcceleratorRuntime) -> AddressResolver:
+    """Resolve addresses to ``(object_id, size)`` through the runtime's allocator.
+
+    A closure over the allocator rather than a bound session method, so the
+    processor holds no reference back to its session and a finished run is
+    freed by reference counting instead of waiting for a cyclic GC pass.
+    """
+    allocator = runtime.allocator
+
+    def resolve(address: int) -> Optional[tuple[int, int]]:
+        obj = allocator.lookup(address, live_only=False)
+        return None if obj is None else (obj.object_id, obj.size)
+
+    return resolve
+
+
+def _recording_sink(writer: "TraceWriter", processor: PastaEventProcessor) -> EventSink:
+    """Handler sink tap: persist the event, then forward it as usual."""
+    submit = processor.submit
+
+    def record_and_submit(event: PastaEvent) -> None:
+        if not writer.closed:
+            writer.write(event)
+        submit(event)
+
+    return record_and_submit
+
+
 class PastaSession:
     """One profiling session over one simulated GPU runtime."""
 
@@ -147,7 +176,7 @@ class PastaSession:
                 config=cost_config,
             )
         self.processor = PastaEventProcessor(
-            address_resolver=self._resolve_address,
+            address_resolver=_address_resolver(runtime),
             range_filter=range_filter,
             enable_gpu_preprocessing=True,
             overhead_accountant=self.overhead_accountant,
@@ -176,7 +205,7 @@ class PastaSession:
             self._trace_writer = trace_writer
             self._owns_trace_writer = False
             self.trace_path = trace_writer.path
-            self.handler.set_sink(self._record_and_submit)
+            self.handler.set_sink(_recording_sink(self._trace_writer, self.processor))
         if record_to is not None:
             # Imported lazily: repro.replay builds on repro.core, not the
             # other way around, so the tap must not create an import cycle.
@@ -193,7 +222,7 @@ class PastaSession:
             )
             self._trace_writer = TraceWriter(record_to, header)
             self.trace_path = self._trace_writer.path
-            self.handler.set_sink(self._record_and_submit)
+            self.handler.set_sink(_recording_sink(self._trace_writer, self.processor))
 
     # ------------------------------------------------------------------ #
     # configuration
@@ -235,12 +264,6 @@ class PastaSession:
         self.handler.attach_framework(ctx.callbacks, device_index=ctx.runtime.device.index)
         self._attached_contexts.append(ctx)
 
-    def _resolve_address(self, address: int) -> Optional[tuple[int, int]]:
-        obj = self.runtime.allocator.lookup(address, live_only=False)
-        if obj is None:
-            return None
-        return obj.object_id, obj.size
-
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
@@ -251,6 +274,9 @@ class PastaSession:
         if not self.backend.is_attached:
             self.backend.attach(self.runtime)
         self.handler.attach_vendor_backend(self.backend)
+        for ctx in self._attached_contexts:
+            # Re-attach after a stop(); attaching twice is a no-op.
+            self.handler.attach_framework(ctx.callbacks, device_index=ctx.runtime.device.index)
         if self.enable_fine_grained:
             if isinstance(self.backend, ComputeSanitizerBackend):
                 self.backend.sanitizer_patch_module("all")
@@ -286,6 +312,8 @@ class PastaSession:
             tool.on_session_end()
         self.handler.detach_vendor_backend(self.backend)
         self.backend.detach()
+        for ctx in self._attached_contexts:
+            self.handler.detach_framework(ctx.callbacks)
         self.runtime.device.reserve_profiler_memory(0)
         _set_active_session(None)
         self._started = False
@@ -371,12 +399,6 @@ class PastaSession:
     def is_recording(self) -> bool:
         """True while events are being appended to the trace file."""
         return self._trace_writer is not None and not self._trace_writer.closed
-
-    def _record_and_submit(self, event) -> None:
-        """Handler sink tap: persist the event, then forward it as usual."""
-        if self._trace_writer is not None and not self._trace_writer.closed:
-            self._trace_writer.write(event)
-        self.processor.submit(event)
 
     def __enter__(self) -> "PastaSession":
         return self.start()

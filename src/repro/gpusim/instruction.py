@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 
 class InstructionKind(str, Enum):
@@ -117,7 +119,16 @@ class InstructionRecord:
         )
 
 
-@dataclass(frozen=True)
+def plain_values(column: Sequence) -> Sequence:
+    """A column's values as Python scalars: numpy arrays via ``tolist()``.
+
+    Used wherever a column is unrolled into per-record objects, so those
+    carry plain ``int``/``bool`` fields whatever the column's container.
+    """
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+@dataclass(frozen=True, eq=False)
 class InstructionBatchRecord:
     """One kernel launch's sampled device records as parallel arrays.
 
@@ -128,6 +139,11 @@ class InstructionBatchRecord:
     *after* them (block-exit markers).  Iterating the three sections in order
     yields exactly the record sequence the per-record path would produce, so
     both delivery modes are interchangeable.
+
+    The access columns are read-only numpy arrays when produced by
+    :meth:`~repro.gpusim.kernel.KernelLaunch.generate_instruction_batch`;
+    tuples are accepted too.  ``eq=False``: batches compare by identity
+    (a value ``__eq__`` over array fields would be ambiguous).
     """
 
     kernel_launch_id: int
@@ -158,15 +174,17 @@ class InstructionBatchRecord:
     def iter_records(self) -> "Iterator[InstructionRecord]":
         """Unrolled per-record view, in the per-record pipeline's order."""
         for kind, thread, block in zip(
-            self.pre_kinds, self.pre_thread_indices, self.pre_block_indices
+            self.pre_kinds, plain_values(self.pre_thread_indices),
+            plain_values(self.pre_block_indices),
         ):
             yield InstructionRecord(
                 kind=kind, thread_index=thread, block_index=block,
                 kernel_launch_id=self.kernel_launch_id,
             )
         for address, size, is_write, thread, block in zip(
-            self.addresses, self.sizes, self.write_flags,
-            self.access_thread_indices, self.access_block_indices,
+            plain_values(self.addresses), plain_values(self.sizes),
+            plain_values(self.write_flags), plain_values(self.access_thread_indices),
+            plain_values(self.access_block_indices),
         ):
             yield InstructionRecord(
                 kind=InstructionKind.GLOBAL_STORE if is_write else InstructionKind.GLOBAL_LOAD,
@@ -175,7 +193,8 @@ class InstructionBatchRecord:
                 kernel_launch_id=self.kernel_launch_id,
             )
         for kind, thread, block in zip(
-            self.post_kinds, self.post_thread_indices, self.post_block_indices
+            self.post_kinds, plain_values(self.post_thread_indices),
+            plain_values(self.post_block_indices),
         ):
             yield InstructionRecord(
                 kind=kind, thread_index=thread, block_index=block,

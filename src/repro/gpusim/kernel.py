@@ -207,7 +207,7 @@ class KernelLaunch:
         max_records: Optional[int] = 4096,
         seed: Optional[int] = None,
     ) -> "AccessColumns":
-        """Sample the launch's memory accesses as parallel numpy arrays.
+        """Sample the launch's memory accesses as parallel read-only numpy arrays.
 
         This is the producer-side half of the batched fine-grained pipeline:
         the sample is drawn entirely with vectorised numpy operations and
@@ -251,12 +251,12 @@ class KernelLaunch:
             write_parts.append(write_flags)
         if not address_parts:
             return _EMPTY_COLUMNS
-        return AccessColumns(
+        return _read_only(AccessColumns(
             addresses=np.concatenate(address_parts),
             thread_indices=np.concatenate(thread_parts),
             block_indices=np.concatenate(block_parts),
             write_flags=np.concatenate(write_parts),
-        )
+        ))
 
     def generate_accesses(
         self,
@@ -308,6 +308,10 @@ class KernelLaunch:
         that order), restricted to ``allowed_kinds`` when given — the
         backend-side instrumentability filter — but as a single
         :class:`InstructionBatchRecord` instead of one object per record.
+        The access columns are the read-only numpy arrays of
+        :meth:`generate_access_columns` (masked when only loads or only
+        stores are instrumentable), passed through without conversion to
+        Python objects; the short block-marker columns are tuples.
         """
         blocks = self.grid_config.total_blocks
         marker_blocks = min(blocks, 64) if include_block_markers else 0
@@ -316,27 +320,14 @@ class KernelLaunch:
         want_loads = allowed_kinds is None or InstructionKind.GLOBAL_LOAD in allowed_kinds
         want_stores = allowed_kinds is None or InstructionKind.GLOBAL_STORE in allowed_kinds
 
-        addresses: tuple[int, ...] = ()
-        write_flags: tuple[bool, ...] = ()
-        thread_indices: tuple[int, ...] = ()
-        block_indices: tuple[int, ...] = ()
+        kept = _EMPTY_COLUMNS
         if want_loads or want_stores:
-            columns = self.generate_access_columns(max_records=max_records)
-            if len(columns.addresses):
-                if want_loads and want_stores:
-                    kept = columns
-                else:
-                    mask = columns.write_flags if want_stores else ~columns.write_flags
-                    kept = AccessColumns(
-                        addresses=columns.addresses[mask],
-                        thread_indices=columns.thread_indices[mask],
-                        block_indices=columns.block_indices[mask],
-                        write_flags=columns.write_flags[mask],
-                    )
-                addresses = tuple(kept.addresses.tolist())
-                write_flags = tuple(kept.write_flags.tolist())
-                thread_indices = tuple(kept.thread_indices.tolist())
-                block_indices = tuple(kept.block_indices.tolist())
+            kept = self.generate_access_columns(max_records=max_records)
+            if not (want_loads and want_stores) and len(kept.addresses):
+                mask = kept.write_flags if want_stores else ~kept.write_flags
+                kept = _read_only(AccessColumns(*(column[mask] for column in kept)))
+        sizes = np.full(len(kept.addresses), _DEFAULT_ACCESS_SIZE, dtype=np.int64)
+        sizes.flags.writeable = False
 
         marker_range = tuple(range(marker_blocks))
         marker_threads = (0,) * marker_blocks
@@ -346,11 +337,11 @@ class KernelLaunch:
             pre_kinds=(InstructionKind.BLOCK_ENTRY,) * marker_blocks if want_entry else (),
             pre_thread_indices=marker_threads if want_entry else (),
             pre_block_indices=marker_range if want_entry else (),
-            addresses=addresses,
-            sizes=(_DEFAULT_ACCESS_SIZE,) * len(addresses),
-            write_flags=write_flags,
-            access_thread_indices=thread_indices,
-            access_block_indices=block_indices,
+            addresses=kept.addresses,
+            sizes=sizes,
+            write_flags=kept.write_flags,
+            access_thread_indices=kept.thread_indices,
+            access_block_indices=kept.block_indices,
             post_kinds=(InstructionKind.BLOCK_EXIT,) * marker_blocks if want_exit else (),
             post_thread_indices=marker_threads if want_exit else (),
             post_block_indices=marker_range if want_exit else (),
@@ -378,7 +369,7 @@ class KernelLaunch:
 
 
 class AccessColumns(NamedTuple):
-    """Parallel numpy arrays describing one launch's sampled accesses."""
+    """Parallel read-only numpy arrays describing one launch's sampled accesses."""
 
     addresses: np.ndarray
     thread_indices: np.ndarray
@@ -386,12 +377,19 @@ class AccessColumns(NamedTuple):
     write_flags: np.ndarray
 
 
-_EMPTY_COLUMNS = AccessColumns(
+def _read_only(columns: AccessColumns) -> AccessColumns:
+    """Freeze the columns: one batch is shared by every tool that receives it."""
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+_EMPTY_COLUMNS = _read_only(AccessColumns(
     addresses=np.empty(0, dtype=np.int64),
     thread_indices=np.empty(0, dtype=np.int64),
     block_indices=np.empty(0, dtype=np.int64),
     write_flags=np.empty(0, dtype=bool),
-)
+))
 
 
 def _write_probability(arg: KernelArgument) -> float:

@@ -46,6 +46,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 import repro
 from repro.core import events as _events
 from repro.core.events import PastaEvent
@@ -159,8 +161,10 @@ def _make_value_encoder(hint: Any):
     if origin is tuple:
         args = get_args(hint)
         if len(args) == 2 and args[1] is Ellipsis:
+            # Batch columns arrive as numpy arrays on live runs; ``tolist()``
+            # gives the same JSON-native values as the tuple form.
             inner = _make_value_encoder(args[0])
-            return lambda v: [inner(item) for item in v]
+            return lambda v: v.tolist() if isinstance(v, np.ndarray) else [inner(item) for item in v]
         if args:
             inners = [_make_value_encoder(a) for a in args]
             return lambda v: [fn(item) for fn, item in zip(inners, v)]

@@ -9,14 +9,19 @@ instruction kinds the backend observed.
 It is also the reference implementation of a **batch-aware** tool: the
 ``on_memory_access_batch`` / ``on_instruction_batch`` overrides consume the
 columnar arrays directly, so profiling a workload never materialises one
-event object per sampled access.  The per-record hooks implement the exact
-same accumulation, which the pipeline-equivalence tests rely on: unrolling a
-batch through them must produce a byte-identical report.
+event object per sampled access.  Live batches carry read-only numpy
+columns, reduced here with ``np.count_nonzero`` / ``np.unique``; replayed
+batches carry tuples, which the same numpy calls accept.  Counts become
+plain Python ints as they are accumulated.  The per-record hooks implement
+the exact same accumulation, which the pipeline-equivalence tests rely on:
+unrolling a batch through them must produce a byte-identical report.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+
+import numpy as np
 
 from repro.core.events import (
     EventCategory,
@@ -73,20 +78,26 @@ class AccessHistogramTool(PastaTool):
     # batch-native hooks (columnar accumulation, no per-record events)
     # ------------------------------------------------------------------ #
     def on_memory_access_batch(self, event: MemoryAccessBatch) -> None:
-        writes = sum(event.write_flags)
+        count = len(event.addresses)
+        writes = int(np.count_nonzero(event.write_flags))
         self.writes += writes
-        self.reads += len(event.write_flags) - writes
+        self.reads += count - writes
         sizes = self.accesses_by_size
-        for size in event.sizes:
-            sizes[size] += 1
-        self.records_by_launch[event.kernel_launch_id] += len(event.addresses)
-        block_bytes = self.block_bytes
-        self._blocks.update(address // block_bytes for address in event.addresses)
+        values, counts = np.unique(np.asarray(event.sizes, dtype=np.int64), return_counts=True)
+        for size, n in zip(values.tolist(), counts.tolist()):
+            sizes[size] += n
+        self.records_by_launch[event.kernel_launch_id] += count
+        if count:
+            # Sort-and-mask distinct blocks: plain np.unique takes a hash
+            # path on integer input that is several times slower here.
+            blocks = np.sort(np.asarray(event.addresses, dtype=np.int64) // self.block_bytes)
+            first = np.concatenate(([True], blocks[1:] != blocks[:-1]))
+            self._blocks.update(blocks[first].tolist())
 
     def on_instruction_batch(self, event: InstructionBatch) -> None:
         by_kind = self.instructions_by_kind
-        for kind in event.kinds:
-            by_kind[kind.value] += 1
+        for kind, n in Counter(event.kinds).items():
+            by_kind[kind.value] += n
         self.records_by_launch[event.kernel_launch_id] += len(event.kinds)
 
     # ------------------------------------------------------------------ #

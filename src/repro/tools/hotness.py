@@ -15,8 +15,9 @@ matrix it classifies blocks as
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -130,9 +131,10 @@ class TimeSeriesHotnessTool(PastaTool):
         if not self.use_sampled_accesses:
             return
         counts = self._windows[self._current_window()]
-        block_bytes = self.block_bytes
-        for address in event.addresses:
-            counts[address // block_bytes] += 1
+        addresses = np.asarray(event.addresses, dtype=np.int64)
+        blocks, hits = np.unique(addresses // self.block_bytes, return_counts=True)
+        for block, n in zip(blocks.tolist(), hits.tolist()):
+            counts[block] += n
 
     def on_kernel_memory_profile(self, event: KernelMemoryProfile) -> None:
         # The profile is redundant with the launch-argument attribution above;
@@ -165,17 +167,35 @@ class TimeSeriesHotnessTool(PastaTool):
                 matrix[index[block], window_id] = count
         return blocks, matrix
 
+    def _block_activity(self) -> tuple[list[int], list[int], list[int]]:
+        """Per-block ``(block_ids, active_windows, total_accesses)``, sorted by block.
+
+        One pass over the sparse ``{window: {block: count}}`` entries: no
+        dense block x window matrix is built.
+        """
+        entries = sum(len(counts) for counts in self._windows.values())
+        if not entries:
+            return [], [], []
+        blocks = np.fromiter(
+            chain.from_iterable(self._windows.values()), dtype=np.int64, count=entries
+        )
+        counts = np.fromiter(
+            chain.from_iterable(window.values() for window in self._windows.values()),
+            dtype=np.int64, count=entries,
+        )
+        block_ids, row = np.unique(blocks, return_inverse=True)
+        active = np.bincount(row[counts != 0], minlength=len(block_ids))
+        totals = np.zeros(len(block_ids), dtype=np.int64)
+        np.add.at(totals, row, counts)
+        return block_ids.tolist(), active.tolist(), totals.tolist()
+
     def classify_blocks(
         self, hot_ratio: float = 0.6, bursty_ratio: float = 0.25
     ) -> list[BlockClassification]:
         """Classify blocks as long-lived hot, bursty, or cold."""
-        blocks, matrix = self.hotness_matrix()
-        total_windows = matrix.shape[1]
+        total_windows = self.window_count
         out: list[BlockClassification] = []
-        for row, block in enumerate(blocks):
-            counts = matrix[row]
-            active = int(np.count_nonzero(counts))
-            total = int(counts.sum())
+        for block, active, total in zip(*self._block_activity()):
             ratio = active / total_windows if total_windows else 0.0
             if ratio >= hot_ratio:
                 kind = "long_lived_hot"
@@ -203,15 +223,12 @@ class TimeSeriesHotnessTool(PastaTool):
         return [c.block_id for c in self.classify_blocks() if c.kind == "bursty"]
 
     def report(self) -> dict[str, object]:
-        classes = self.classify_blocks()
-        by_kind: dict[str, int] = defaultdict(int)
-        for c in classes:
-            by_kind[c.kind] += 1
+        by_kind: dict[str, int] = Counter(c.kind for c in self.classify_blocks())
         return json_sanitize({
             "tool": self.tool_name,
-            "blocks": len(classes),
+            "blocks": sum(by_kind.values()),
             "windows": self.window_count,
             "block_kinds": dict(by_kind),
-            "prefetch_candidates": len(self.prefetch_candidates()),
-            "eviction_candidates": len(self.eviction_candidates()),
+            "prefetch_candidates": by_kind.get("long_lived_hot", 0),
+            "eviction_candidates": by_kind.get("bursty", 0),
         })
