@@ -306,10 +306,11 @@ class MemoryAccessBatch(PastaEvent):
     per-record pipeline would have delivered the same accesses in, so
     unrolling a batch reproduces the unbatched stream exactly.
 
-    Live runs carry read-only numpy arrays straight from the simulator;
-    replayed traces and third-party producers may carry tuples, so batch
-    hooks must accept both (``len()``, numpy functions and iteration work on
-    either).  :meth:`unroll` yields plain ``int``/``bool`` fields.  The
+    Live runs carry read-only numpy arrays straight from the simulator, and
+    the trace codec decodes replayed columns to the same read-only
+    ``int64``/``bool`` arrays; third-party producers may still carry tuples,
+    so batch hooks must accept both (``len()``, numpy functions and
+    iteration work on either).  :meth:`unroll` yields plain ``int``/``bool`` fields.  The
     annotations stay ``tuple[...]``: they define the trace schema, whose
     encoding is the same for both containers.
     """

@@ -168,7 +168,8 @@ class PastaTool:
         The default implementation unrolls the batch into per-record
         :meth:`on_memory_access` calls so pre-batching tools keep working;
         batch-aware tools override this and consume the arrays directly
-        (read-only numpy arrays on live runs, tuples on replay).
+        (read-only numpy arrays on live runs and on replay; third-party
+        producers may still send tuples).
         """
         on_memory_access = self.on_memory_access
         for access in event.unroll():

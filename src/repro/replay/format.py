@@ -34,6 +34,17 @@ hints.  Each codec carries a *schema fingerprint* — a digest of the event
 class's field names and types — recorded in the header and checked on read,
 so a trace written under a different event schema fails loudly instead of
 silently misdecoding.
+
+Column decoding
+---------------
+Variable-length ``tuple[T, ...]`` fields are the columns of the batch events.
+``int`` and ``bool`` columns decode straight into read-only ``np.int64`` /
+``np.bool_`` arrays, the same shape the live pipeline carries, so replayed
+batches reach the tools exactly as live ones do.  ``str`` columns decode
+with ``tuple(v)``; enum columns (``InstructionBatch.kinds``) and every other
+enum field decode through a ``value -> member`` dict lookup.  Encoding
+writes an array with ``tolist()``, so decoding then encoding returns the
+original record.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -96,6 +108,17 @@ def _schema_fingerprint(cls: type) -> str:
     return hashlib.sha256(json.dumps(shape, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
+#: Element types of ``tuple[T, ...]`` columns that decode to numpy arrays.
+_COLUMN_DTYPES: dict[type, type] = {int: np.int64, bool: np.bool_}
+
+
+def _read_only_column(values: list, dtype: type) -> np.ndarray:
+    """A decoded integer/boolean column, as the live producer carries it."""
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
 def _make_value_decoder(hint: Any):
     """Build a ``JSON-native value -> rich value`` function for one type hint."""
     origin = get_origin(hint)
@@ -106,12 +129,17 @@ def _make_value_decoder(hint: Any):
             return lambda v: v
         return lambda v: None if v is None else inner(v)
     if isinstance(hint, type) and issubclass(hint, Enum):
-        return hint
+        return {member.value: member for member in hint}.__getitem__
     if origin is tuple:
         args = get_args(hint)
         if len(args) == 2 and args[1] is Ellipsis:
-            inner = _make_value_decoder(args[0])
-            return lambda v: tuple(inner(item) for item in v)
+            item_hint = args[0]
+            if item_hint in _COLUMN_DTYPES:
+                return partial(_read_only_column, dtype=_COLUMN_DTYPES[item_hint])
+            if item_hint is str:
+                return tuple
+            inner = _make_value_decoder(item_hint)
+            return lambda v: tuple(map(inner, v))
         if args:
             inners = [_make_value_decoder(a) for a in args]
             return lambda v: tuple(f(item) for f, item in zip(inners, v))

@@ -30,6 +30,8 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import zlib
+from contextlib import closing
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -44,6 +46,9 @@ from repro.core.events import (
 from repro.errors import TraceError, TraceFormatError
 from repro.replay.format import TraceFooter, TraceHeader, decode_event
 from repro.replay.writer import TraceWriter, index_path_for
+
+#: What decompressing a damaged gzip member raises.
+_GZIP_ERRORS = (OSError, EOFError, zlib.error)
 
 #: Category filter values may be enum members or their string values.
 CategoryFilter = Optional[Iterable[Union[str, EventCategory]]]
@@ -118,8 +123,18 @@ class TraceReader:
             compressed = fh.read(length)
         try:
             return gzip.decompress(compressed)
-        except (OSError, EOFError) as error:
+        except _GZIP_ERRORS as error:
             raise TraceFormatError(f"corrupt gzip member at offset {offset}: {error}") from error
+
+    def _stream_lines(self) -> Iterator[bytes]:
+        """Every decompressed line in file order, read without the index."""
+        with open(self.path, "rb") as raw, gzip.GzipFile(fileobj=raw) as fh:
+            try:
+                yield from fh
+            except _GZIP_ERRORS as error:
+                raise TraceFormatError(
+                    f"corrupt gzip data in {self.path} before offset {raw.tell()}: {error}"
+                ) from error
 
     def _read_header(self) -> TraceHeader:
         if self._index is not None:
@@ -128,8 +143,8 @@ class TraceReader:
             )
             line = data.splitlines()[0]
         else:
-            with gzip.open(self.path, "rb") as fh:
-                line = fh.readline()
+            with closing(self._stream_lines()) as lines:
+                line = next(lines, b"")
         try:
             record = json.loads(line)
         except json.JSONDecodeError as error:
@@ -156,10 +171,8 @@ class TraceReader:
 
     def _all_records(self) -> Iterator[dict]:
         """Every JSON record in file order, including header and footer."""
-        with gzip.open(self.path, "rb") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
+        for line in self._stream_lines():
+            if line.strip():
                 yield json.loads(line)
 
     def _event_records(
@@ -303,15 +316,14 @@ class TraceReader:
         count = 0
         previous: Optional[bytes] = None
         first = True
-        with gzip.open(self.path, "rb") as fh:
-            for line in fh:
-                if first:
-                    first = False  # header line: never part of the digest
-                    continue
-                if previous is not None:
-                    hasher.update(previous)
-                    count += 1
-                previous = line
+        for line in self._stream_lines():
+            if first:
+                first = False  # header line: never part of the digest
+                continue
+            if previous is not None:
+                hasher.update(previous)
+                count += 1
+            previous = line
         # `previous` now holds the footer line, which is not hashed.
         return hasher.hexdigest() == footer.digest and count == footer.event_count
 

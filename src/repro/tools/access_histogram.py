@@ -9,9 +9,10 @@ instruction kinds the backend observed.
 It is also the reference implementation of a **batch-aware** tool: the
 ``on_memory_access_batch`` / ``on_instruction_batch`` overrides consume the
 columnar arrays directly, so profiling a workload never materialises one
-event object per sampled access.  Live batches carry read-only numpy
-columns, reduced here with ``np.count_nonzero`` / ``np.unique``; replayed
-batches carry tuples, which the same numpy calls accept.  Counts become
+event object per sampled access.  Live and replayed batches carry
+read-only numpy columns, reduced here with ``np.count_nonzero`` /
+``np.unique``; third-party producers may still send tuples, which the same
+numpy calls accept.  Counts become
 plain Python ints as they are accumulated.  The per-record hooks implement
 the exact same accumulation, which the pipeline-equivalence tests rely on:
 unrolling a batch through them must produce a byte-identical report.
