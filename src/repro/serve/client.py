@@ -16,21 +16,38 @@ and the two ``reports()`` dicts are byte-identical for the same spec,
 because the daemon executes through the very same
 :func:`repro.api.runner.execute_payload` a local run uses.
 
-Everything here is stdlib (``urllib.request`` / ``http.client``); the wire
-format is the JSONL protocol of :mod:`repro.serve.protocol`.  Stream reads
-auto-resume: a :class:`JobHandle` tracks how many records it has consumed,
-so a dropped connection reconnects with ``?from=<cursor>`` and the caller
-never sees a duplicate or a gap.
+Everything here is stdlib; the wire format is the JSONL protocol of
+:mod:`repro.serve.protocol`.
+
+Transport: each thread that uses a :class:`ServeClient` gets one persistent
+HTTP/1.1 ``http.client`` connection, so its requests share one TCP
+connection and one daemon handler thread.  A job costs two requests,
+``POST /v1/jobs`` and its stream: the stream's terminal ``job`` record
+carries the full status, so :meth:`JobHandle.result` needs no status call.
+The retry rule: a request that fails on a *reused* connection before any
+response arrives (the daemon closed the idle connection, e.g. because it
+restarted) is sent once more on a fresh connection.  Any other failure,
+including one on a fresh connection, raises :class:`ServeError`.  A unary
+request always reads its whole response.  A stream takes its connection out
+of the thread's slot while it is open, so requests made meanwhile (a
+``cancel`` inside a ``for rec in handle.stream()`` loop, a second stream)
+run on their own connection and never touch it.  The stream hands the
+connection back when its terminal chunk has been read, and closes it when
+abandoned or torn, so a half-read response is never reused.
+
+Stream reads auto-resume: a :class:`JobHandle` tracks how many records it
+has consumed, so a dropped connection reconnects with ``?from=<cursor>``
+and the caller never sees a duplicate or a gap.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import socket
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Iterator, Mapping, Optional, Union
+from urllib.parse import urlsplit
 
 from repro.api.builder import ProfileBuilder
 from repro.errors import ReproError
@@ -44,6 +61,10 @@ from repro.serve.protocol import (
 
 #: Seconds between reconnect attempts when a stream drops.
 _RETRY_BACKOFF_S = 0.2
+
+#: Failures that show a reused connection was closed by the daemon before
+#: it answered (``RemoteDisconnected`` is a ``ConnectionResetError``).
+_STALE_CONNECTION = (ConnectionResetError, BrokenPipeError)
 
 
 class ServeError(ReproError):
@@ -79,8 +100,15 @@ def _raise_for_error(rec: Mapping[str, object]) -> None:
         )
 
 
+class _ThreadConnection(threading.local):
+    """The calling thread's persistent connection to the daemon (``None``
+    before the first request, after a failure, or while a stream owns it)."""
+
+    connection: Optional[http.client.HTTPConnection] = None
+
+
 class ServeClient:
-    """One connection's worth of client state: base URL + namespace.
+    """Client state: base URL, namespace, one connection per thread.
 
     Entry points: :meth:`profile` (the fluent remote builder),
     :meth:`submit` (a ready spec or dict), :meth:`job` (re-attach to an
@@ -107,6 +135,14 @@ class ServeClient:
         self.timeout = timeout
         self.stream_timeout = stream_timeout
         self.retries = retries
+        parts = urlsplit(self.url)
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = parts.netloc
+        self._base_path = parts.path
+        self._local = _ThreadConnection()
 
     def __repr__(self) -> str:
         return f"ServeClient({self.url!r}, namespace={self.namespace!r})"
@@ -114,41 +150,74 @@ class ServeClient:
     # -------------------------------------------------------------- #
     # transport
     # -------------------------------------------------------------- #
+    def _connection(self, timeout: float) -> tuple[http.client.HTTPConnection, bool]:
+        """The calling thread's connection, and whether its socket is reused."""
+        local = self._local
+        connection = local.connection
+        if connection is None:
+            connection = self._connection_class(self._netloc, timeout=timeout)
+            local.connection = connection
+        connection.timeout = timeout
+        if connection.sock is None:
+            return connection, False
+        connection.sock.settimeout(timeout)
+        return connection, True
+
+    def _drop_connection(self) -> None:
+        local = self._local
+        if local.connection is not None:
+            local.connection.close()
+        local.connection = None
+
     def _open(
         self,
         method: str,
         path: str,
         body: Optional[Mapping[str, object]] = None,
         timeout: Optional[float] = None,
-    ):
+    ) -> http.client.HTTPResponse:
+        """Send one request on this thread's connection; returns the response.
+
+        The caller must read the response to its end, or take the
+        connection out of the slot first (as :meth:`stream` does).
+        """
         data = None
         headers = {NAMESPACE_HEADER: self.namespace}
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.url + path, data=data, method=method, headers=headers
-        )
-        try:
-            return urllib.request.urlopen(
-                request, timeout=self.timeout if timeout is None else timeout
-            )
-        except urllib.error.HTTPError as error:
-            # The daemon explains failures as JSONL error records in the body.
+        timeout = self.timeout if timeout is None else timeout
+        while True:
+            connection, reused = self._connection(timeout)
             try:
-                rec = _parse_line(error.read().splitlines()[0])
-            except (ServeError, IndexError):
+                connection.request(
+                    method, self._base_path + path, body=data, headers=headers
+                )
+                response = connection.getresponse()
+                break
+            except (OSError, http.client.HTTPException) as error:
+                self._drop_connection()
+                if reused and isinstance(error, _STALE_CONNECTION):
+                    continue  # closed while idle: retry once, on a fresh one
                 raise ServeError(
-                    f"{method} {path} failed: HTTP {error.code}", code=error.code
+                    f"cannot reach pasta daemon at {self.url}: {error}"
                 ) from None
-            _raise_for_error(rec)
-            raise ServeError(
-                f"{method} {path} failed: HTTP {error.code}", code=error.code
-            ) from None
-        except urllib.error.URLError as error:
-            raise ServeError(
-                f"cannot reach pasta daemon at {self.url}: {error.reason}"
-            ) from None
+        if response.status < 400:
+            return response
+        # The daemon explains failures as JSONL error records in the body.
+        try:
+            raw = response.read()
+        except (OSError, http.client.HTTPException):
+            self._drop_connection()
+            raw = b""
+        try:
+            rec = _parse_line(raw.splitlines()[0])
+        except (ServeError, IndexError):
+            rec = {}
+        _raise_for_error(rec)
+        raise ServeError(
+            f"{method} {path} failed: HTTP {response.status}", code=response.status
+        )
 
     def _request(
         self,
@@ -157,8 +226,14 @@ class ServeClient:
         body: Optional[Mapping[str, object]] = None,
     ) -> list[dict[str, object]]:
         """One unary request → the response's parsed records."""
-        with self._open(method, path, body) as response:
+        response = self._open(method, path, body)
+        try:
             raw = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            self._drop_connection()
+            raise ServeError(
+                f"{method} {path}: lost the daemon's response: {error}"
+            ) from None
         records = [_parse_line(line) for line in raw.splitlines() if line.strip()]
         for rec in records:
             _raise_for_error(rec)
@@ -247,46 +322,51 @@ class ServeClient:
         Tracks a cursor of consumed records; a connection reset, timeout or
         torn read reconnects with ``?from=<cursor>`` (up to ``retries``
         times per gap), so the caller sees every record exactly once even
-        across daemon hiccups mid-campaign.
+        across daemon hiccups mid-campaign.  Stopping early (``break``, or
+        dropping the generator) closes the stream's connection.
         """
         cursor = max(0, int(from_index))
         attempts = 0
         read_timeout = self.stream_timeout if timeout is None else timeout
         while True:
+            # 404 / protocol errors raise ServeError: retrying won't help.
+            response = self._open(
+                "GET",
+                f"/v1/jobs/{job_id}/stream?from={cursor}",
+                timeout=read_timeout,
+            )
+            # The stream owns its connection until the terminal chunk: a
+            # request made meanwhile opens its own.
+            connection, self._local.connection = self._local.connection, None
+            finished = False
             try:
-                response = self._open(
-                    "GET",
-                    f"/v1/jobs/{job_id}/stream?from={cursor}",
-                    timeout=read_timeout,
-                )
-            except ServeError:
-                raise  # 404 / protocol errors don't improve with retries
-            try:
-                with response:
-                    for line in response:
-                        if not line.strip():
-                            continue
-                        rec = _parse_line(line)
-                        _raise_for_error(rec)
-                        cursor += 1
-                        attempts = 0
-                        yield rec
-                return  # server closed the stream: job is terminal
-            except (
-                socket.timeout,
-                TimeoutError,
-                ConnectionResetError,
-                BrokenPipeError,
-                urllib.error.URLError,
-                OSError,
-            ) as error:
-                attempts += 1
-                if attempts > self.retries:
-                    raise ServeError(
-                        f"stream for {job_id} dropped {attempts} times "
-                        f"(last: {error}); giving up at record {cursor}"
-                    ) from None
-                time.sleep(_RETRY_BACKOFF_S * attempts)
+                for line in response:
+                    if not line.strip():
+                        continue
+                    rec = _parse_line(line)
+                    _raise_for_error(rec)
+                    cursor += 1
+                    attempts = 0
+                    yield rec
+                finished = True
+            except (OSError, http.client.HTTPException) as error:
+                failure: Exception = error
+            finally:
+                if finished and self._local.connection is None:
+                    self._local.connection = connection  # reusable again
+                else:
+                    # Abandoned or torn mid-stream (never reuse the socket),
+                    # or the thread opened another connection meanwhile.
+                    connection.close()
+            if finished:
+                return
+            attempts += 1
+            if attempts > self.retries:
+                raise ServeError(
+                    f"stream for {job_id} dropped {attempts} times "
+                    f"(last: {failure}); giving up at record {cursor}"
+                ) from None
+            time.sleep(_RETRY_BACKOFF_S * attempts)
 
     # -------------------------------------------------------------- #
     # daemon endpoints
@@ -414,11 +494,12 @@ class JobHandle:
             raise ServeError(f"job {self.id} was cancelled")
         if result_record is None:
             raise ServeError(f"job {self.id} finished without a result record")
-        status = self.status()
-        if status.get("kind") == "campaign":
-            self._result = RemoteCampaignResult(self, result_record, status)
+        # The terminal ``job`` record carries the full status: no GET needed.
+        self._last_status = final
+        if final.get("kind") == "campaign":
+            self._result = RemoteCampaignResult(self, result_record, final)
         else:
-            self._result = RemoteRunResult(self, result_record, status)
+            self._result = RemoteRunResult(self, result_record, final)
         return self._result
 
 

@@ -36,6 +36,7 @@ import os
 import queue
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Union
@@ -101,11 +102,19 @@ class Job:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
-    def status_record(self) -> dict[str, object]:
-        """The job's current ``type="job"`` status record."""
+    def status_record(self, event: str = "status") -> dict[str, object]:
+        """The job's current ``type="job"`` record.
+
+        ``GET /v1/jobs/<id>`` answers with ``event="status"``; the lifecycle
+        records a stream carries (``queued`` / ``started`` / ``cancelling``
+        / ``finished``) are the same record with their own ``event``.  A
+        lifecycle record is built to be appended to :attr:`events`, so its
+        ``events`` count includes itself: the terminal record equals a
+        status request made after it, field for field.
+        """
         return record(
             "job",
-            event="status",
+            event=event,
             job_id=self.id,
             namespace=self.namespace,
             kind=self.kind,
@@ -116,7 +125,7 @@ class Job:
             started_unix=self.started_unix,
             finished_unix=self.finished_unix,
             error=self.error,
-            events=len(self.events),
+            events=len(self.events) + (event != "status"),
             resumed=self.resumed,
         )
 
@@ -201,6 +210,10 @@ class JobManager:
 
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
+        #: Per-namespace counts of all jobs and of non-terminal jobs, so a
+        #: quota check never scans the job table.
+        self._ns_total: Counter[str] = Counter()
+        self._ns_inflight: Counter[str] = Counter()
         #: One condition guards the job table, event lists and counters;
         #: every append notifies all blocked streams.
         self._cond = threading.Condition()
@@ -253,8 +266,7 @@ class JobManager:
 
     def _check_quotas(self, namespace: str) -> None:
         """Raise :class:`QuotaExceeded` when ``namespace`` is over budget."""
-        mine = [j for j in self._jobs.values() if j.namespace == namespace]
-        if self.quota_total is not None and len(mine) >= self.quota_total:
+        if self.quota_total is not None and self._ns_total[namespace] >= self.quota_total:
             self.quota_rejections += 1
             raise QuotaExceeded(
                 f"namespace {namespace!r} reached its total submission quota "
@@ -262,7 +274,7 @@ class JobManager:
                 namespace=namespace, quota="total",
             )
         if self.quota_inflight is not None:
-            inflight = sum(1 for j in mine if not j.terminal)
+            inflight = self._ns_inflight[namespace]
             if inflight >= self.quota_inflight:
                 self.quota_rejections += 1
                 raise QuotaExceeded(
@@ -309,6 +321,8 @@ class JobManager:
             )
             self._jobs[job.id] = job
             self._order.append(job.id)
+            self._ns_total[namespace] += 1
+            self._ns_inflight[namespace] += 1
             self.journal.append({
                 "event": "submitted",
                 "job_id": job.id,
@@ -318,7 +332,7 @@ class JobManager:
                 "digest": job.digest,
                 "created_unix": job.created_unix,
             })
-            self._emit_locked(job, self._job_event(job, "queued"))
+            self._emit_locked(job, job.status_record("queued"))
         telemetry.counter("serve.jobs_submitted").inc()
         self._queue.put(job.id)
         return job
@@ -356,7 +370,7 @@ class JobManager:
                     digest=digest,
                     created_unix=float(rec.get("created_unix") or 0.0),
                 )
-                job.events.append(self._job_event(job, "queued"))
+                job.events.append(job.status_record("queued"))
                 self._jobs[job_id] = job
                 self._order.append(job_id)
             elif event == "finished" and job_id in self._jobs:
@@ -374,11 +388,17 @@ class JobManager:
                         job.events.append(
                             record("result", job_id=job.id, record=result)
                         )
-                job.events.append(self._job_event(job, "finished"))
+                job.events.append(job.status_record("finished"))
+        for job in self._jobs.values():
+            self._ns_total[job.namespace] += 1
+            self._ns_inflight[job.namespace] += not job.terminal
         for job_id in self._order:
             job = self._jobs[job_id]
             if not job.terminal:
                 job.resumed = True
+                # Its only record so far is ``queued``: restate it resumed.
+                job.events.clear()
+                job.events.append(job.status_record("queued"))
                 self.resumed += 1
                 self._queue.put(job_id)
         # Continue the id sequence past everything journaled so restarted
@@ -453,7 +473,7 @@ class JobManager:
                 self._finish_locked(job, "cancelled")
             elif job.state == "running":
                 job.state = "cancelling"
-                self._emit_locked(job, self._job_event(job, "cancelling"))
+                self._emit_locked(job, job.status_record("cancelling"))
                 if job.id in self._schedulers:
                     self._schedulers[job.id].cancel("job cancelled")
         _active_telemetry().counter("serve.jobs_cancelled").inc()
@@ -489,7 +509,7 @@ class JobManager:
                 return
             job.state = "running"
             job.started_unix = round(time.time(), 6)
-            self._emit_locked(job, self._job_event(job, "started"))
+            self._emit_locked(job, job.status_record("started"))
         with telemetry.span(
             "serve.job", kind=job.kind, namespace=job.namespace, digest=job.digest
         ):
@@ -575,24 +595,13 @@ class JobManager:
     # ------------------------------------------------------------------ #
     # event plumbing (call with self._cond held)
     # ------------------------------------------------------------------ #
-    def _job_event(self, job: Job, event: str) -> dict[str, object]:
-        return record(
-            "job",
-            event=event,
-            job_id=job.id,
-            namespace=job.namespace,
-            kind=job.kind,
-            state=job.state,
-            digest=job.digest,
-            cache_hit=job.cache_hit,
-            error=job.error,
-        )
-
     def _emit_locked(self, job: Job, rec: dict[str, object]) -> None:
         job.events.append(rec)
         self._cond.notify_all()
 
     def _finish_locked(self, job: Job, state: str) -> None:
+        if not job.terminal:
+            self._ns_inflight[job.namespace] -= 1
         job.state = state
         job.finished_unix = round(time.time(), 6)
         terminal_record: dict[str, object] = {
@@ -615,7 +624,7 @@ class JobManager:
             # take the job down with it — the in-memory outcome stands, the
             # job merely resumes redundantly after a restart.
             _active_telemetry().counter("serve.journal_errors").inc()
-        self._emit_locked(job, self._job_event(job, "finished"))
+        self._emit_locked(job, job.status_record("finished"))
         _active_telemetry().counter("serve.jobs_finished").inc()
 
     # ------------------------------------------------------------------ #

@@ -9,11 +9,15 @@ forcing the server to buffer.  (The discipline follows the jn repo's
 Record types
 ------------
 ``job``
-    A job lifecycle record: ``event`` is ``queued`` / ``started`` /
-    ``finished``, ``state`` is the job's current state
-    (:data:`JOB_STATES`), plus identity fields (``job_id``, ``namespace``,
-    ``kind``, ``digest``) and — on terminal records — ``status``,
-    ``cache_hit`` and ``error``.
+    A job's status.  ``event`` says why it was sent: ``status`` (a status
+    request) or a lifecycle step on the stream (``queued`` / ``started`` /
+    ``cancelling`` / ``finished``).  Every ``job`` record carries the full
+    status fields: ``state`` (:data:`JOB_STATES`), ``job_id``,
+    ``namespace``, ``kind``, ``digest``, ``cache_hit``, ``error``,
+    ``created_unix`` / ``started_unix`` / ``finished_unix``, ``events``
+    (the job's record count; a lifecycle record counts itself) and
+    ``resumed``.  So a stream's terminal ``job`` record is the job's final
+    status, and a client needs no status request after it.
 ``progress``
     Per-cell progress of a campaign job (``index`` / ``total`` / ``label`` /
     ``status`` / ``cache_hit`` / full ``digest``), emitted as each grid cell
