@@ -10,9 +10,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import bench_batch_size, model_label, print_header, print_row
+from repro import api
 from repro.gpusim.device import A100, RTX3060
-from repro.tools import UvmPrefetchExecutor
-from repro.workloads import record_uvm_schedule
+from repro.tools import UvmPrefetchAdvisor, UvmPrefetchExecutor
 
 DEVICES = {"3060": RTX3060, "A100": A100}
 OVERSUBSCRIPTION_FACTOR = 3.0
@@ -20,10 +20,12 @@ OVERSUBSCRIPTION_FACTOR = 3.0
 
 @pytest.fixture(scope="module")
 def schedules(paper_models):
-    return {
-        name: record_uvm_schedule(name, device="rtx3060", batch_size=bench_batch_size())[0]
-        for name in paper_models
-    }
+    recorded = {}
+    for name in paper_models:
+        advisor = UvmPrefetchAdvisor()
+        api.run(name, device="rtx3060", tools=[advisor], batch_size=bench_batch_size())
+        recorded[name] = advisor.schedule
+    return recorded
 
 
 def test_figure12_prefetch_oversubscription(benchmark, schedules):

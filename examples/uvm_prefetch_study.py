@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 
+from repro import run
 from repro.dlframework.models import MODEL_ABBREVIATIONS, PAPER_MODELS
 from repro.gpusim import A100, RTX3060
-from repro.tools import UvmPrefetchExecutor
-from repro.workloads import record_uvm_schedule
+from repro.tools import UvmPrefetchAdvisor, UvmPrefetchExecutor
 
 
 def main() -> None:
@@ -31,8 +31,9 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for model_name in args.models:
-        schedule, advisor, _ = record_uvm_schedule(model_name, device="rtx3060",
-                                                   batch_size=args.batch_size)
+        advisor = UvmPrefetchAdvisor()
+        run(model_name, device="rtx3060", tools=[advisor], batch_size=args.batch_size)
+        schedule = advisor.schedule
         label = MODEL_ABBREVIATIONS.get(model_name, model_name)
         for device_name, spec in devices.items():
             for factor, scenario in ((1.0, "no oversubscription"),

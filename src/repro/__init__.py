@@ -66,7 +66,7 @@ from repro.core.session import PastaSession
 from repro.core.tool import PastaTool
 from repro.errors import PastaError, ReproError
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ParallelProfileResult",

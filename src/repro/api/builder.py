@@ -114,11 +114,6 @@ class ProfileBuilder:
         self._knobs[str(name)] = value
         return self
 
-    def with_knobs(self, **knobs: KnobValue) -> "ProfileBuilder":
-        """Set several knob overrides at once."""
-        self._knobs.update(knobs)
-        return self
-
     def window(self, start_grid_id: Optional[int], end_grid_id: Optional[int]) -> "ProfileBuilder":
         """Restrict analysis to a kernel-launch (grid-id) window."""
         if start_grid_id is not None:

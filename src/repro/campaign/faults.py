@@ -58,9 +58,6 @@ FAULTS_ENV = "PASTA_FAULTS"
 #: Everything a rule may inject.
 FAULT_KINDS = ("error", "slow", "crash", "worker_kill", "torn_write", "cache_corrupt")
 
-#: Kinds the injector resolves itself; the rest are returned to the site.
-_SELF_SERVICE_KINDS = ("error", "slow", "crash", "worker_kill")
-
 
 class InjectedFault(ReproError):
     """An ``error``-kind fault fired by the injection harness."""

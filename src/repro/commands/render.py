@@ -1,7 +1,7 @@
 """Terminal rendering for tool reports.
 
 Reports are nested structures — dicts of per-kernel rows, lists of dataclass
-findings, timelines of samples — but the historical ``pasta-profile`` text
+findings, timelines of samples — but the historical ``pasta profile`` text
 output flattened every value through ``str()``, so anything non-scalar
 printed as an opaque repr on one line.  :func:`print_text_report` renders the
 same reports with real structure: mappings indent their items, lists of rows

@@ -89,11 +89,6 @@ class RangeFilter:
         """Number of currently open annotation regions."""
         return len(self._open_regions)
 
-    @property
-    def current_region(self) -> str:
-        """Label of the innermost open region ('' when none)."""
-        return self._open_regions[-1] if self._open_regions else ""
-
     # ------------------------------------------------------------------ #
     # the filter itself
     # ------------------------------------------------------------------ #
@@ -122,11 +117,6 @@ def _set_active_session(session) -> None:
     """Install the session that annotation calls should act on (internal)."""
     global _active_session
     _active_session = session
-
-
-def _get_active_session():
-    """Return the active session, or None."""
-    return _active_session
 
 
 def start(label: str = "") -> None:

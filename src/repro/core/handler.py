@@ -142,11 +142,6 @@ class PastaEventHandler:
             registry.remove_operator_callback(callbacks[0])
             registry.remove_memory_callback(callbacks[1])
 
-    @property
-    def attached_backends(self) -> list[ProfilingBackend]:
-        """Vendor backends the handler is currently registered with."""
-        return list(self._backends)
-
     # ------------------------------------------------------------------ #
     # emission
     # ------------------------------------------------------------------ #

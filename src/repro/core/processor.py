@@ -159,11 +159,6 @@ class PastaEventProcessor:
         """Unregister a tool."""
         self.dispatch_unit.unregister_tool(tool)
 
-    def rebuild_dispatch_index(self) -> None:
-        """Recompute event routing after a registered tool changed its
-        ``subscribed_categories`` / ``wants()`` answers in place."""
-        self.dispatch_unit.rebuild_index()
-
     @property
     def tools(self) -> list[PastaTool]:
         """Registered tools."""

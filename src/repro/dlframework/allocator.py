@@ -73,9 +73,6 @@ class AllocatorProfile:
     small_segment_bytes: int = 2 * MiB
     large_segment_bytes: int = 20 * MiB
     round_bytes: int = ROUND_BYTES
-    #: Large requests above this fraction of ``large_segment_bytes`` get a
-    #: dedicated segment sized to the request.
-    oversize_threshold: float = 1.0
 
 
 CUDA_ALLOCATOR_PROFILE = AllocatorProfile(name="cuda")
@@ -135,10 +132,6 @@ class Segment:
     def blocks(self) -> list[Block]:
         """Blocks in offset order (materialised view of the linked list)."""
         return list(self.iter_blocks())
-
-    def free_bytes(self) -> int:
-        """Bytes currently available inside this segment."""
-        return sum(b.size for b in self.iter_blocks() if b.free)
 
 
 class FreeBlockIndex:
@@ -494,10 +487,6 @@ class CachingAllocator:
             if obj.address <= address < obj.address + obj.size:
                 return segment
         return None
-
-    def live_tensor_bytes(self) -> int:
-        """Bytes currently handed out to live tensors."""
-        return self.stats.allocated_bytes
 
     def reserved_bytes(self) -> int:
         """Bytes of driver memory reserved by the pool."""

@@ -37,13 +37,3 @@ class ModelBase(Module):
     def make_example_targets(self, ctx: FrameworkContext, batch_size: Optional[int] = None) -> Tensor:
         """Allocate example training targets for this model."""
         raise NotImplementedError
-
-    def describe(self) -> dict[str, object]:
-        """Summary used by reports and the experiment harness."""
-        return {
-            "name": self.model_name,
-            "type": self.model_type,
-            "batch_size": self.default_batch_size,
-            "layers": self.paper_layer_count,
-            "parameter_bytes": self.parameter_bytes(),
-        }

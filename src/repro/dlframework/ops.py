@@ -687,17 +687,6 @@ def all_reduce(ctx: FrameworkContext, tensor: Tensor, world_size: int = 2) -> No
         )
 
 
-def all_gather(ctx: FrameworkContext, tensor: Tensor, output: Tensor, world_size: int = 2) -> None:
-    """All-gather ``tensor`` from every rank into ``output``."""
-    with ctx.op("c10d::allgather_"):
-        ctx.launch(
-            ctx.backend.communication_kernel_name("AllGather_f32"),
-            [read(tensor), write(output)],
-            flops=0.0,
-            grid_elements=output.numel,
-        )
-
-
 def send_recv(ctx: FrameworkContext, tensor: Tensor, direction: str = "send") -> None:
     """Point-to-point pipeline communication (send or recv of activations)."""
     collective = "SendRecv_f32"

@@ -123,31 +123,15 @@ class Tensor:
         """Number of dimensions."""
         return len(self.shape)
 
-    @property
-    def end_address(self) -> int:
-        """One past the last byte of the tensor's storage."""
-        return self.address + self.nbytes
-
     def size(self, dim: Optional[int] = None) -> tuple[int, ...] | int:
         """Shape, or the extent of one dimension (PyTorch-style)."""
         if dim is None:
             return self.shape
         return self.shape[dim]
 
-    def address_range(self) -> tuple[int, int]:
-        """``(address, nbytes)`` of the tensor's storage."""
-        return self.address, self.nbytes
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor(id={self.tensor_id}{label}, shape={self.shape}, dtype={self.dtype.value})"
-
-
-def tensor_shape_for_bytes(nbytes: int, dtype: DType = DType.FLOAT32) -> tuple[int, ...]:
-    """Return a flat shape whose storage is at least ``nbytes``."""
-    if nbytes <= 0:
-        raise ShapeError("nbytes must be positive")
-    return (max(1, math.ceil(nbytes / dtype.itemsize)),)
 
 
 def check_matmul_shapes(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:

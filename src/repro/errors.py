@@ -71,10 +71,6 @@ class HandlerError(PastaError):
     """Raised for event-handler configuration problems."""
 
 
-class ProcessorError(PastaError):
-    """Raised for event-processor dispatch problems."""
-
-
 class ToolError(PastaError):
     """Raised for tool registration / selection problems."""
 

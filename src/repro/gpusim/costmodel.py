@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.trace import AnalysisModel, TraceBuffer, TRACE_RECORD_BYTES
+from repro.gpusim.trace import AnalysisModel, TraceBuffer
 
 
 class InstrumentationBackend(str, Enum):
@@ -204,7 +204,3 @@ class OverheadModel:
         for duration_ns, accesses in launches:
             total = total + self.kernel_cost(duration_ns, accesses, model, backend)
         return total
-
-    def bytes_per_record(self) -> int:
-        """Size of one packed trace record (exposed for ablation benches)."""
-        return TRACE_RECORD_BYTES

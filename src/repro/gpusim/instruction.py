@@ -105,19 +105,6 @@ class InstructionRecord:
     size: Optional[int] = None
     kernel_launch_id: int = 0
 
-    def to_memory_access(self) -> MemoryAccessRecord:
-        """Convert to a :class:`MemoryAccessRecord`; only valid for memory kinds."""
-        if not self.kind.is_memory_access or self.address is None or self.size is None:
-            raise ValueError(f"instruction {self.kind} is not a memory access")
-        return MemoryAccessRecord(
-            address=self.address,
-            size=self.size,
-            is_write=self.kind.is_write,
-            thread_index=self.thread_index,
-            block_index=self.block_index,
-            kernel_launch_id=self.kernel_launch_id,
-        )
-
 
 def plain_values(column: Sequence) -> Sequence:
     """A column's values as Python scalars: numpy arrays via ``tolist()``.

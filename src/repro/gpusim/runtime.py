@@ -334,10 +334,6 @@ class AcceleratorRuntime:
         """Sum of kernel durations (the uninstrumented execution-time proxy)."""
         return sum(launch.duration_ns for launch in self.kernel_launches)
 
-    def peak_memory_bytes(self) -> int:
-        """Peak device-resident bytes observed by the driver allocator."""
-        return self.allocator.peak_bytes
-
 
 class CudaRuntime(AcceleratorRuntime):
     """NVIDIA CUDA runtime facade."""

@@ -74,11 +74,6 @@ class UvmStats:
     prefetch_time_ns: float = 0.0
     eviction_time_ns: float = 0.0
 
-    @property
-    def total_overhead_ns(self) -> float:
-        """Total UVM-induced time added to execution."""
-        return self.fault_time_ns + self.migration_time_ns + self.prefetch_time_ns + self.eviction_time_ns
-
     def snapshot(self) -> dict[str, float]:
         """Plain-dict copy for reports."""
         return {

@@ -14,8 +14,8 @@ record-once/analyze-many model of vendor profilers' offline workflows:
 * :mod:`repro.replay.replayer` — :class:`TraceReplayer`, which re-drives any
   tool set (optionally under a different analysis model or cost-model
   configuration) through a fresh event processor with no runtime attached;
-* :mod:`repro.replay.cli` — the ``pasta-trace`` command
-  (``record`` / ``replay`` / ``info`` / ``slice``).
+* the ``pasta trace`` command (``record`` / ``replay`` / ``info`` /
+  ``slice``) is :mod:`repro.commands.trace`.
 """
 
 from repro.replay.format import (

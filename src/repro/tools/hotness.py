@@ -43,13 +43,6 @@ class BlockClassification:
     total_windows: int
     kind: str  # "long_lived_hot", "bursty", or "cold"
 
-    @property
-    def activity_ratio(self) -> float:
-        """Fraction of windows in which the block was accessed."""
-        if self.total_windows == 0:
-            return 0.0
-        return self.active_windows / self.total_windows
-
 
 class TimeSeriesHotnessTool(PastaTool):
     """Builds a block x time-window access-count matrix.

@@ -18,7 +18,6 @@ from repro.tools import (
     WorkloadProfile,
 )
 from repro import api
-from repro.workloads import record_uvm_schedule
 
 MB = 1024 * 1024
 
@@ -119,8 +118,9 @@ class TestUvmPrefetchExecutor:
         assert baseline.normalized_to(baseline) == pytest.approx(1.0)
 
     def test_recorded_model_schedule_round_trips(self):
-        schedule, advisor, _result = record_uvm_schedule("resnet18", device="rtx3060",
-                                                         batch_size=2)
+        advisor = UvmPrefetchAdvisor()
+        api.run("resnet18", device="rtx3060", tools=[advisor], batch_size=2)
+        schedule = advisor.schedule
         assert len(schedule) > 50
         executor = UvmPrefetchExecutor(RTX3060, oversubscription_factor=1.0)
         norm = executor.normalized_times(schedule)
